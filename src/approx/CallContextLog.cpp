@@ -34,18 +34,30 @@ uint64_t CallContextLog::workInIteration(size_t Iter) const {
 }
 
 std::string CallContextLog::signature() const {
-  std::vector<std::string> Distinct;
-  for (const std::vector<size_t> &Blocks : IterationBlocks) {
+  std::vector<std::string> Rendered;
+  for (const std::vector<size_t> &Blocks : distinctSequences()) {
     std::string Seq;
     for (size_t B : Blocks) {
       if (!Seq.empty())
         Seq += ",";
       Seq += format("%zu", B);
     }
-    if (std::find(Distinct.begin(), Distinct.end(), Seq) == Distinct.end())
-      Distinct.push_back(Seq);
+    Rendered.push_back(std::move(Seq));
   }
-  return join(Distinct, ";");
+  return join(Rendered, ";");
+}
+
+std::vector<std::vector<size_t>> CallContextLog::distinctSequences() const {
+  std::vector<std::vector<size_t>> Distinct = PrefixSequences;
+  for (const std::vector<size_t> &Blocks : IterationBlocks)
+    if (std::find(Distinct.begin(), Distinct.end(), Blocks) == Distinct.end())
+      Distinct.push_back(Blocks);
+  return Distinct;
+}
+
+void CallContextLog::seedPrefix(std::vector<std::vector<size_t>> Sequences) {
+  assert(IterationBlocks.empty() && "seed the prefix before logging");
+  PrefixSequences = std::move(Sequences);
 }
 
 uint64_t CallContextLog::workInRange(size_t Begin, size_t End) const {
@@ -57,6 +69,7 @@ uint64_t CallContextLog::workInRange(size_t Begin, size_t End) const {
 }
 
 void CallContextLog::clear() {
+  PrefixSequences.clear();
   IterationBlocks.clear();
   IterationWork.clear();
 }

@@ -45,12 +45,22 @@ public:
   /// with the same signature follow the same control flow.
   std::string signature() const;
 
+  /// The distinct per-iteration block sequences in first-appearance
+  /// order, seeded prefix first: what signature() renders.
+  std::vector<std::vector<size_t>> distinctSequences() const;
+
+  /// Seeds the distinct sequences of iterations this log never saw -- a
+  /// resumed run's skipped prefix -- so signature() covers the whole run
+  /// while the log itself holds only the iterations executed since.
+  void seedPrefix(std::vector<std::vector<size_t>> Sequences);
+
   /// Total work across iterations [Begin, End) -- clamped to the log.
   uint64_t workInRange(size_t Begin, size_t End) const;
 
   void clear();
 
 private:
+  std::vector<std::vector<size_t>> PrefixSequences;
   std::vector<std::vector<size_t>> IterationBlocks;
   std::vector<uint64_t> IterationWork;
 };

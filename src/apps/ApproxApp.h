@@ -9,13 +9,15 @@
 /// approximable blocks (paper Sec. 3.1). An application declares its
 /// input parameters and ABs, and can execute under any PhaseSchedule,
 /// reporting deterministic work, outer-loop iteration count, output
-/// values, and a control-flow signature.
+/// values, and a control-flow signature. Its outer loop is resumable
+/// from checkpoints of its exact run (apps/LoopCheckpoint.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPPROX_APPS_APPROXAPP_H
 #define OPPROX_APPS_APPROXAPP_H
 
+#include "apps/LoopCheckpoint.h"
 #include "approx/ApproximableBlock.h"
 #include "approx/PhaseSchedule.h"
 #include <atomic>
@@ -62,13 +64,27 @@ public:
   /// The production input used by the evaluation benches.
   virtual std::vector<double> defaultInput() const = 0;
 
-  /// Executes under \p Schedule. \p NominalIterations anchors the phase
-  /// boundaries and must be the exact run's iteration count for this
-  /// input; it may be 0 only when the schedule is exact (single golden
-  /// runs) or the application's iteration count is fixed by the input.
-  virtual RunResult run(const std::vector<double> &Input,
-                        const PhaseSchedule &Schedule,
-                        size_t NominalIterations) const = 0;
+  /// Executes under \p Schedule from iteration 0 -- the from-scratch
+  /// reference every resumed run must equal. \p NominalIterations anchors
+  /// the phase boundaries and must be the exact run's iteration count for
+  /// this input; it may be 0 only when the schedule is exact (single
+  /// golden runs) or the application's iteration count is fixed by the
+  /// input.
+  RunResult run(const std::vector<double> &Input,
+                const PhaseSchedule &Schedule,
+                size_t NominalIterations) const {
+    return execute(Input, Schedule, NominalIterations, RunStart());
+  }
+
+  /// Continues \p Input's exact run \p Exact from \p From, a checkpoint
+  /// that run recorded, and executes \p Schedule from From.Iteration on.
+  /// \p Schedule must be exact at every iteration before From.Iteration;
+  /// the result then equals run(Input, Schedule, NominalIterations) field
+  /// for field, because the skipped prefix is the exact run's by
+  /// construction.
+  RunResult resume(const std::vector<double> &Input,
+                   const PhaseSchedule &Schedule, size_t NominalIterations,
+                   const LoopCheckpoint &From, const RunResult &Exact) const;
 
   /// QoS degradation of \p Approx vs. \p Exact as a percentage
   /// (0 = identical, larger = worse). PSNR-metric applications convert
@@ -87,11 +103,23 @@ public:
 
   size_t numBlocks() const { return blocks().size(); }
 
-  /// Runs with the all-exact single-phase schedule.
-  RunResult runExact(const std::vector<double> &Input) const;
+  /// Runs with the all-exact single-phase schedule. With a \p Recorder,
+  /// the run also leaves checkpoints for resume().
+  RunResult runExact(const std::vector<double> &Input,
+                     CheckpointRecorder *Recorder = nullptr) const;
 
   /// Per-block maximum levels, for samplers and search-space counting.
   std::vector<int> maxLevels() const;
+
+protected:
+  /// The application's one outer loop: sets up (or, resuming, copies the
+  /// checkpoint's state), iterates from Start's first iteration, then
+  /// assembles the result. run(), resume() and runExact() all land here.
+  /// A ResumableLoop (apps/LoopCheckpoint.h) carries the shared protocol.
+  virtual RunResult execute(const std::vector<double> &Input,
+                            const PhaseSchedule &Schedule,
+                            size_t NominalIterations,
+                            const RunStart &Start) const = 0;
 };
 
 /// Caches exact (golden) runs per input so profilers and evaluators do
@@ -109,7 +137,10 @@ public:
   explicit GoldenCache(const ApproxApp &App) : App(App) {}
 
   /// The exact run for \p Input, computing and caching on first use.
-  const RunResult &exactRun(const std::vector<double> &Input);
+  /// When this call computes the run, \p Recorder (if given) receives its
+  /// checkpoints; on a cache hit it is left untouched.
+  const RunResult &exactRun(const std::vector<double> &Input,
+                            CheckpointRecorder *Recorder = nullptr);
 
   /// Nominal (exact-run) outer-loop iteration count for \p Input.
   size_t nominalIterations(const std::vector<double> &Input);

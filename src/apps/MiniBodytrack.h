@@ -43,9 +43,6 @@ public:
   std::vector<std::string> parameterNames() const override;
   std::vector<std::vector<double>> trainingInputs() const override;
   std::vector<double> defaultInput() const override;
-  RunResult run(const std::vector<double> &Input,
-                const PhaseSchedule &Schedule,
-                size_t NominalIterations) const override;
   double qosDegradation(const RunResult &Exact,
                         const RunResult &Approx) const override;
 
@@ -55,6 +52,11 @@ public:
     FeatureExtract = 2,
     MinParticlesKnob = 3,
   };
+
+protected:
+  RunResult execute(const std::vector<double> &Input,
+                    const PhaseSchedule &Schedule, size_t NominalIterations,
+                    const RunStart &Start) const override;
 
 private:
   std::vector<ApproximableBlock> Blocks;

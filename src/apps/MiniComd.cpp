@@ -45,6 +45,60 @@ Vec3 minimumImage(const Vec3 &A, const Vec3 &B, double Box) {
   return {Wrap(A.X - B.X), Wrap(A.Y - B.Y), Wrap(A.Z - B.Z)};
 }
 
+/// Loop-carried state of the timestep loop.
+struct ComdState {
+  std::vector<Vec3> Pos, Vel, Force;
+  std::vector<double> PotentialPerAtom;
+  // Time-averaged per-atom energies: the thermodynamic observables CoMD
+  // reports. Averaging over the trajectory means an error injected early
+  // contaminates every later step's contribution, so early-phase
+  // approximation dominates the final QoS (Fig. 9a).
+  std::vector<double> AvgKe, AvgPe;
+};
+
+/// A warm FCC crystal with deterministic initial velocities keyed by the
+/// input, so every run of the same input sees the same trajectory.
+ComdState initialState(size_t Cells, double Lattice, size_t Steps) {
+  size_t N = 4 * Cells * Cells * Cells; // FCC: 4 atoms per unit cell.
+  Rng SeedRng(0xC0FFEEULL ^ (Cells * 1315423911ULL) ^
+              static_cast<uint64_t>(Lattice * 1e6) ^ (Steps * 2654435761ULL));
+  ComdState S;
+  S.Pos.resize(N);
+  S.Vel.resize(N);
+  S.Force.resize(N);
+  S.PotentialPerAtom.assign(N, 0.0);
+  S.AvgKe.assign(N, 0.0);
+  S.AvgPe.assign(N, 0.0);
+  // FCC basis within each unit cell.
+  const double Basis[4][3] = {
+      {0.0, 0.0, 0.0}, {0.5, 0.5, 0.0}, {0.5, 0.0, 0.5}, {0.0, 0.5, 0.5}};
+  size_t Idx = 0;
+  for (size_t X = 0; X < Cells; ++X)
+    for (size_t Y = 0; Y < Cells; ++Y)
+      for (size_t Z = 0; Z < Cells; ++Z)
+        for (const auto &B : Basis) {
+          S.Pos[Idx] = {(static_cast<double>(X) + B[0]) * Lattice,
+                        (static_cast<double>(Y) + B[1]) * Lattice,
+                        (static_cast<double>(Z) + B[2]) * Lattice};
+          ++Idx;
+        }
+  double Sigma = std::sqrt(InitTemperature);
+  Vec3 Drift;
+  for (Vec3 &V : S.Vel) {
+    V = {SeedRng.gaussian(0, Sigma), SeedRng.gaussian(0, Sigma),
+         SeedRng.gaussian(0, Sigma)};
+    Drift.X += V.X;
+    Drift.Y += V.Y;
+    Drift.Z += V.Z;
+  }
+  for (Vec3 &V : S.Vel) { // Remove center-of-mass motion.
+    V.X -= Drift.X / static_cast<double>(N);
+    V.Y -= Drift.Y / static_cast<double>(N);
+    V.Z -= Drift.Z / static_cast<double>(N);
+  }
+  return S;
+}
+
 } // namespace
 
 MiniComd::MiniComd() {
@@ -68,9 +122,10 @@ std::vector<std::vector<double>> MiniComd::trainingInputs() const {
 
 std::vector<double> MiniComd::defaultInput() const { return {3, 1.56, 200}; }
 
-RunResult MiniComd::run(const std::vector<double> &Input,
-                        const PhaseSchedule &Schedule,
-                        size_t NominalIterations) const {
+RunResult MiniComd::execute(const std::vector<double> &Input,
+                            const PhaseSchedule &Schedule,
+                            size_t NominalIterations,
+                            const RunStart &Start) const {
   assert(Input.size() == 3 &&
          "comd expects [unit_cells, lattice_param, num_timesteps]");
   assert(Schedule.numBlocks() == Blocks.size() && "block count mismatch");
@@ -78,56 +133,24 @@ RunResult MiniComd::run(const std::vector<double> &Input,
   double Lattice = Input[1];
   size_t Steps = static_cast<size_t>(Input[2]);
   assert(Cells >= 2 && Lattice > 1.4 && "unphysical lattice");
-  size_t N = 4 * Cells * Cells * Cells; // FCC: 4 atoms per unit cell.
+  size_t N = 4 * Cells * Cells * Cells;
   double Box = static_cast<double>(Cells) * Lattice;
 
-  // Deterministic initial velocities keyed by the input so every run of
-  // the same input sees the same trajectory.
-  Rng SeedRng(0xC0FFEEULL ^ (Cells * 1315423911ULL) ^
-              static_cast<uint64_t>(Lattice * 1e6) ^ (Steps * 2654435761ULL));
+  ResumableLoop<ComdState> Loop(Start, Steps);
+  ComdState S = Loop.resumedState() ? *Loop.resumedState()
+                                    : initialState(Cells, Lattice, Steps);
+  std::vector<Vec3> &Pos = S.Pos, &Vel = S.Vel, &Force = S.Force;
+  std::vector<double> &PotentialPerAtom = S.PotentialPerAtom;
+  std::vector<double> &AvgKe = S.AvgKe, &AvgPe = S.AvgPe;
 
-  std::vector<Vec3> Pos(N), Vel(N), Force(N);
-  std::vector<double> PotentialPerAtom(N, 0.0);
-  // Time-averaged per-atom energies: the thermodynamic observables CoMD
-  // reports. Averaging over the trajectory means an error injected early
-  // contaminates every later step's contribution, so early-phase
-  // approximation dominates the final QoS (Fig. 9a).
-  std::vector<double> AvgKe(N, 0.0), AvgPe(N, 0.0);
-  // FCC basis within each unit cell.
-  const double Basis[4][3] = {
-      {0.0, 0.0, 0.0}, {0.5, 0.5, 0.0}, {0.5, 0.0, 0.5}, {0.0, 0.5, 0.5}};
-  size_t Idx = 0;
-  for (size_t X = 0; X < Cells; ++X)
-    for (size_t Y = 0; Y < Cells; ++Y)
-      for (size_t Z = 0; Z < Cells; ++Z)
-        for (const auto &B : Basis) {
-          Pos[Idx] = {(static_cast<double>(X) + B[0]) * Lattice,
-                      (static_cast<double>(Y) + B[1]) * Lattice,
-                      (static_cast<double>(Z) + B[2]) * Lattice};
-          ++Idx;
-        }
-  double Sigma = std::sqrt(InitTemperature);
-  Vec3 Drift;
-  for (Vec3 &V : Vel) {
-    V = {SeedRng.gaussian(0, Sigma), SeedRng.gaussian(0, Sigma),
-         SeedRng.gaussian(0, Sigma)};
-    Drift.X += V.X;
-    Drift.Y += V.Y;
-    Drift.Z += V.Z;
-  }
-  for (Vec3 &V : Vel) { // Remove center-of-mass motion.
-    V.X -= Drift.X / static_cast<double>(N);
-    V.Y -= Drift.Y / static_cast<double>(N);
-    V.Z -= Drift.Z / static_cast<double>(N);
-  }
-
-  WorkCounter WC;
-  CallContextLog Log;
+  WorkCounter &WC = Loop.WC;
+  CallContextLog &Log = Loop.Log;
   PhaseMap PM(NominalIterations ? NominalIterations : Steps,
               Schedule.numPhases());
 
   double CutoffSq = Cutoff * Cutoff;
-  for (size_t Step = 0; Step < Steps; ++Step) {
+  for (size_t Step = Loop.firstIteration(); Step < Steps; ++Step) {
+    Loop.atIteration(Step, S);
     Log.beginIteration();
     size_t Phase = PM.phaseOf(Step);
 
@@ -217,12 +240,7 @@ RunResult MiniComd::run(const std::vector<double> &Input,
     R.Output.push_back(AvgKe[I] / Steps_d);
   for (size_t I = 0; I < N; ++I)
     R.Output.push_back(AvgPe[I] / Steps_d);
-  R.WorkUnits = WC.total();
-  R.OuterIterations = Steps;
-  R.ControlFlowSignature = Log.signature();
-  R.WorkPerIteration.reserve(Steps);
-  for (size_t I = 0; I < Steps; ++I)
-    R.WorkPerIteration.push_back(Log.workInIteration(I));
+  Loop.finish(R, Steps);
   return R;
 }
 

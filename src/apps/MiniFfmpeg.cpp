@@ -44,11 +44,16 @@ Frame decodeFrame(size_t FrameIdx, size_t TotalFrames) {
   size_t BoxCol = static_cast<size_t>(T * static_cast<double>(Width - 12));
   size_t BoxRow = static_cast<size_t>(
       (0.5 + 0.4 * std::sin(6.28318 * T)) * static_cast<double>(Height - 10));
+  // The texture sin(0.5 C + 8T) * cos(0.4 R - 5T) is separable: one sine
+  // per column and one cosine per row instead of one of each per pixel.
+  double SinC[Width], CosR[Height];
+  for (size_t C = 0; C < Width; ++C)
+    SinC[C] = std::sin(0.5 * static_cast<double>(C) + 8.0 * T);
+  for (size_t R = 0; R < Height; ++R)
+    CosR[R] = std::cos(0.4 * static_cast<double>(R) - 5.0 * T);
   for (size_t R = 0; R < Height; ++R) {
     for (size_t C = 0; C < Width; ++C) {
-      double Texture =
-          96.0 + 64.0 * std::sin(0.5 * static_cast<double>(C) + 8.0 * T) *
-                     std::cos(0.4 * static_cast<double>(R) - 5.0 * T);
+      double Texture = 96.0 + 64.0 * SinC[C] * CosR[R];
       bool InBox = R >= BoxRow && R < BoxRow + 10 && C >= BoxCol &&
                    C < BoxCol + 12;
       pixel(F, R, C) = InBox ? 230.0 : Texture;
@@ -149,6 +154,13 @@ Frame deflateFilter(const Frame &In, int Level, WorkCounter &WC) {
   return Out;
 }
 
+/// Loop-carried state of the frame loop: the encoder's reference frame.
+/// The other carried frame, the reconstruction, is the last frame the
+/// loop emitted, so a resumed run re-reads it from the exact output.
+struct FfmpegState {
+  Frame PreviousFiltered = Frame(Width * Height, 0.0);
+};
+
 } // namespace
 
 MiniFfmpeg::MiniFfmpeg() {
@@ -174,9 +186,10 @@ std::vector<double> MiniFfmpeg::defaultInput() const {
   return {30, 5, 4, 0};
 }
 
-RunResult MiniFfmpeg::run(const std::vector<double> &Input,
-                          const PhaseSchedule &Schedule,
-                          size_t NominalIterations) const {
+RunResult MiniFfmpeg::execute(const std::vector<double> &Input,
+                              const PhaseSchedule &Schedule,
+                              size_t NominalIterations,
+                              const RunStart &Start) const {
   assert(Input.size() == 4 &&
          "ffmpeg expects [fps, duration, bitrate, filter_order]");
   assert(Schedule.numBlocks() == Blocks.size() && "block count mismatch");
@@ -192,17 +205,31 @@ RunResult MiniFfmpeg::run(const std::vector<double> &Input,
   // inter-frame propagation behind Fig. 9d.
   double QuantStep = std::max(2.0, 48.0 / Bitrate);
 
-  WorkCounter WC;
-  CallContextLog Log;
+  ResumableLoop<FfmpegState> Loop(Start, Frames);
+  FfmpegState S = Loop.resumedState() ? *Loop.resumedState() : FfmpegState();
+  Frame &PreviousFiltered = S.PreviousFiltered;
+  Frame Reconstructed(Width * Height, 0.0);
+
+  WorkCounter &WC = Loop.WC;
+  CallContextLog &Log = Loop.Log;
   PhaseMap PM(NominalIterations ? NominalIterations : Frames,
               Schedule.numPhases());
 
-  Frame PreviousFiltered(Width * Height, 0.0);
-  Frame Reconstructed(Width * Height, 0.0);
   RunResult R;
   R.Output.reserve(Frames * Width * Height);
+  // Frames before the resume point are the exact run's; the last of them
+  // is the reconstruction the next frame's deltas apply to.
+  if (const RunResult *Exact = Loop.exact()) {
+    auto PrefixEnd = Exact->Output.begin() +
+                     static_cast<std::ptrdiff_t>(Loop.firstIteration() *
+                                                 Width * Height);
+    R.Output.assign(Exact->Output.begin(), PrefixEnd);
+    Reconstructed.assign(PrefixEnd - Width * Height, PrefixEnd);
+  }
 
-  for (size_t FrameIdx = 0; FrameIdx < Frames; ++FrameIdx) {
+  for (size_t FrameIdx = Loop.firstIteration(); FrameIdx < Frames;
+       ++FrameIdx) {
+    Loop.atIteration(FrameIdx, S);
     Log.beginIteration();
     size_t Phase = PM.phaseOf(FrameIdx);
 
@@ -257,12 +284,7 @@ RunResult MiniFfmpeg::run(const std::vector<double> &Input,
                     Reconstructed.end());
   }
 
-  R.WorkUnits = WC.total();
-  R.OuterIterations = Frames;
-  R.ControlFlowSignature = Log.signature();
-  R.WorkPerIteration.reserve(Frames);
-  for (size_t I = 0; I < Frames; ++I)
-    R.WorkPerIteration.push_back(Log.workInIteration(I));
+  Loop.finish(R, Frames);
   return R;
 }
 

@@ -42,9 +42,6 @@ public:
   std::vector<std::string> parameterNames() const override;
   std::vector<std::vector<double>> trainingInputs() const override;
   std::vector<double> defaultInput() const override;
-  RunResult run(const std::vector<double> &Input,
-                const PhaseSchedule &Schedule,
-                size_t NominalIterations) const override;
   double qosDegradation(const RunResult &Exact,
                         const RunResult &Approx) const override;
   bool usesPsnr() const override { return true; }
@@ -56,6 +53,11 @@ public:
     EdgeFilter = 1,
     DeflateFilter = 2,
   };
+
+protected:
+  RunResult execute(const std::vector<double> &Input,
+                    const PhaseSchedule &Schedule, size_t NominalIterations,
+                    const RunStart &Start) const override;
 
 private:
   std::vector<ApproximableBlock> Blocks;

@@ -63,11 +63,46 @@ constexpr uint64_t StrainWork = 4;
 constexpr uint64_t TimeConstraintWork = 2;
 constexpr uint64_t EnergyWork = 5; // Exact epilogue, never approximated.
 
+/// Loop-carried state of the timestep loop: the mesh fields plus the
+/// clock and the timestep the Courant governor grows from.
 struct HydroState {
   std::vector<double> NodePos, NodeVel, NodeForce, NodeAccel;
   std::vector<double> ElemEnergy, ElemDensity, ElemPressure, ElemViscosity,
       ElemMass, ElemVolume, ElemStress, ElemStrainRate;
+  double SimTime = 0.0;
+  double Dt = 0.0;
 };
+
+/// The Sedov setup: a uniform cold gas on N elements with the blast
+/// energy in the leftmost one.
+HydroState initialState(size_t N) {
+  HydroState S;
+  S.NodePos.resize(N + 1);
+  S.NodeVel.assign(N + 1, 0.0);
+  S.NodeForce.assign(N + 1, 0.0);
+  S.NodeAccel.assign(N + 1, 0.0);
+  double Dx = 1.0 / static_cast<double>(N);
+  for (size_t I = 0; I <= N; ++I)
+    S.NodePos[I] = static_cast<double>(I) * Dx;
+  S.ElemVolume.assign(N, Dx);
+  S.ElemDensity.assign(N, 1.0);
+  S.ElemMass.assign(N, Dx);
+  S.ElemEnergy.assign(N, EnergyFloor);
+  S.ElemEnergy[0] = BlastEnergy / Dx; // Specific energy spike (Sedov).
+  S.ElemPressure.assign(N, 0.0);
+  S.ElemViscosity.assign(N, 0.0);
+  S.ElemStress.assign(N, 0.0);
+  S.ElemStrainRate.assign(N, 0.0);
+  for (size_t E = 0; E < N; ++E)
+    S.ElemPressure[E] = (Gamma - 1.0) * S.ElemDensity[E] * S.ElemEnergy[E];
+  // Initial timestep from the initial Courant constraint so the run
+  // starts in the physically active regime rather than ramping up
+  // through dozens of inert iterations.
+  double InitialSoundSpeed =
+      std::sqrt(Gamma * S.ElemPressure[0] / S.ElemDensity[0]);
+  S.Dt = CourantFactor * Dx / InitialSoundSpeed;
+  return S;
+}
 
 } // namespace
 
@@ -91,9 +126,10 @@ std::vector<std::vector<double>> MiniLulesh::trainingInputs() const {
 
 std::vector<double> MiniLulesh::defaultInput() const { return {30, 11}; }
 
-RunResult MiniLulesh::run(const std::vector<double> &Input,
-                          const PhaseSchedule &Schedule,
-                          size_t NominalIterations) const {
+RunResult MiniLulesh::execute(const std::vector<double> &Input,
+                              const PhaseSchedule &Schedule,
+                              size_t NominalIterations,
+                              const RunStart &Start) const {
   assert(Input.size() == 2 && "lulesh expects [mesh_size, num_regions]");
   assert(Schedule.numBlocks() == Blocks.size() && "block count mismatch");
   size_t Mesh = static_cast<size_t>(Input[0]);
@@ -105,40 +141,19 @@ RunResult MiniLulesh::run(const std::vector<double> &Input,
   // grow; model that as extra work per element.
   uint64_t ForceWorkPerElem = ForceWork + Regions / 4;
 
-  HydroState S;
-  S.NodePos.resize(N + 1);
-  S.NodeVel.assign(N + 1, 0.0);
-  S.NodeForce.assign(N + 1, 0.0);
-  S.NodeAccel.assign(N + 1, 0.0);
-  double Dx = 1.0 / static_cast<double>(N);
-  for (size_t I = 0; I <= N; ++I)
-    S.NodePos[I] = static_cast<double>(I) * Dx;
-  S.ElemVolume.assign(N, Dx);
-  S.ElemDensity.assign(N, 1.0);
-  S.ElemMass.assign(N, Dx);
-  S.ElemEnergy.assign(N, EnergyFloor);
-  S.ElemEnergy[0] = BlastEnergy / Dx; // Specific energy spike (Sedov).
-  S.ElemPressure.assign(N, 0.0);
-  S.ElemViscosity.assign(N, 0.0);
-  S.ElemStress.assign(N, 0.0);
-  S.ElemStrainRate.assign(N, 0.0);
-  for (size_t E = 0; E < N; ++E)
-    S.ElemPressure[E] = (Gamma - 1.0) * S.ElemDensity[E] * S.ElemEnergy[E];
+  // The iteration count depends on the dt feedback, so it is not fixed.
+  ResumableLoop<HydroState> Loop(Start, 0);
+  HydroState S = Loop.resumedState() ? *Loop.resumedState() : initialState(N);
+  double &SimTime = S.SimTime, &Dt = S.Dt;
 
-  WorkCounter WC;
-  CallContextLog Log;
+  WorkCounter &WC = Loop.WC;
+  CallContextLog &Log = Loop.Log;
   PhaseMap PM(NominalIterations ? NominalIterations : MaxIterations,
               Schedule.numPhases());
 
-  // Initial timestep from the initial Courant constraint so the run
-  // starts in the physically active regime rather than ramping up
-  // through dozens of inert iterations.
-  double InitialSoundSpeed =
-      std::sqrt(Gamma * S.ElemPressure[0] / S.ElemDensity[0]);
-  double SimTime = 0.0;
-  double Dt = CourantFactor * Dx / InitialSoundSpeed;
-  size_t Iter = 0;
+  size_t Iter = Loop.firstIteration();
   while (SimTime < EndTime && Iter < MaxIterations) {
+    Loop.atIteration(Iter, S);
     Log.beginIteration();
     size_t Phase = PM.phaseOf(Iter);
 
@@ -281,8 +296,6 @@ RunResult MiniLulesh::run(const std::vector<double> &Input,
   }
 
   RunResult R;
-  R.WorkUnits = WC.total();
-  R.OuterIterations = Iter;
   // Region-averaged final energies (see OutputBins comment above).
   size_t BinSize = std::max<size_t>(1, N / OutputBins);
   for (size_t Begin = 0; Begin < N; Begin += BinSize) {
@@ -292,10 +305,7 @@ RunResult MiniLulesh::run(const std::vector<double> &Input,
       Sum += S.ElemEnergy[E];
     R.Output.push_back(Sum / static_cast<double>(End - Begin));
   }
-  R.ControlFlowSignature = Log.signature();
-  R.WorkPerIteration.reserve(Iter);
-  for (size_t I = 0; I < Iter; ++I)
-    R.WorkPerIteration.push_back(Log.workInIteration(I));
+  Loop.finish(R, Iter);
   return R;
 }
 

@@ -59,6 +59,49 @@ double hashUniform(uint64_t Iter, uint64_t Particle, uint64_t Salt) {
   return static_cast<double>(X >> 11) * 0x1.0p-53;
 }
 
+/// Loop-carried state of the swarm loop, including the convergence
+/// detector and the global-best trajectory the output samples.
+struct SwarmState {
+  std::vector<std::vector<double>> Pos, Vel, BestPos;
+  std::vector<double> Fitness, BestFitness;
+  size_t GlobalBest = 0;
+  double PreviousBest = 0.0;
+  size_t StagnantStreak = 0;
+  /// Global-best fitness after each iteration.
+  std::vector<double> BestHistory;
+};
+
+/// Mean log personal-best fitness, the quantity convergence watches.
+double meanBest(const std::vector<double> &BestFitness) {
+  double Sum = 0.0;
+  for (double F : BestFitness)
+    Sum += std::log1p(F);
+  return Sum / static_cast<double>(BestFitness.size());
+}
+
+/// A uniformly scattered swarm keyed by the input, evaluated once.
+SwarmState initialState(size_t Swarm, size_t Dim, WorkCounter &WC) {
+  Rng InitRng(0x9050ULL ^ (Swarm * 2654435761ULL) ^ (Dim * 40503ULL));
+  SwarmState S;
+  S.Pos.assign(Swarm, std::vector<double>(Dim));
+  S.Vel.assign(Swarm, std::vector<double>(Dim, 0.0));
+  S.BestPos.resize(Swarm);
+  S.Fitness.assign(Swarm, 0.0);
+  S.BestFitness.assign(Swarm, 1e30);
+  for (size_t P = 0; P < Swarm; ++P) {
+    for (size_t D = 0; D < Dim; ++D)
+      S.Pos[P][D] = InitRng.uniform(-DomainHalfWidth, DomainHalfWidth);
+    S.Fitness[P] = rosenbrock(S.Pos[P], WC);
+    S.BestPos[P] = S.Pos[P];
+    S.BestFitness[P] = S.Fitness[P];
+  }
+  for (size_t P = 1; P < Swarm; ++P)
+    if (S.BestFitness[P] < S.BestFitness[S.GlobalBest])
+      S.GlobalBest = P;
+  S.PreviousBest = meanBest(S.BestFitness);
+  return S;
+}
+
 } // namespace
 
 Pso::Pso() {
@@ -79,58 +122,42 @@ std::vector<std::vector<double>> Pso::trainingInputs() const {
 
 std::vector<double> Pso::defaultInput() const { return {45, 6}; }
 
-RunResult Pso::run(const std::vector<double> &Input,
-                   const PhaseSchedule &Schedule,
-                   size_t NominalIterations) const {
+RunResult Pso::execute(const std::vector<double> &Input,
+                       const PhaseSchedule &Schedule,
+                       size_t NominalIterations,
+                       const RunStart &Start) const {
   assert(Input.size() == 2 && "pso expects [swarm_size, dimension]");
   assert(Schedule.numBlocks() == Blocks.size() && "block count mismatch");
   size_t Swarm = static_cast<size_t>(Input[0]);
   size_t Dim = static_cast<size_t>(Input[1]);
   assert(Swarm >= 4 && Dim >= 2 && "degenerate swarm");
 
-  Rng InitRng(0x9050ULL ^ (Swarm * 2654435761ULL) ^ (Dim * 40503ULL));
+  // The iteration count depends on convergence, so it is not fixed.
+  ResumableLoop<SwarmState> Loop(Start, 0);
+  WorkCounter &WC = Loop.WC;
+  CallContextLog &Log = Loop.Log;
+  SwarmState S = Loop.resumedState() ? *Loop.resumedState()
+                                     : initialState(Swarm, Dim, WC);
+  std::vector<std::vector<double>> &Pos = S.Pos, &Vel = S.Vel,
+                                   &BestPos = S.BestPos;
+  std::vector<double> &Fitness = S.Fitness, &BestFitness = S.BestFitness;
+  size_t &GlobalBest = S.GlobalBest;
+  double &PreviousBest = S.PreviousBest;
+  size_t &StagnantStreak = S.StagnantStreak;
+  std::vector<double> &BestHistory = S.BestHistory;
 
-  std::vector<std::vector<double>> Pos(Swarm, std::vector<double>(Dim));
-  std::vector<std::vector<double>> Vel(Swarm, std::vector<double>(Dim, 0.0));
-  std::vector<std::vector<double>> BestPos(Swarm);
-  std::vector<double> Fitness(Swarm, 0.0);
-  std::vector<double> BestFitness(Swarm, 1e30);
-
-  WorkCounter WC;
-  for (size_t P = 0; P < Swarm; ++P) {
-    for (size_t D = 0; D < Dim; ++D)
-      Pos[P][D] = InitRng.uniform(-DomainHalfWidth, DomainHalfWidth);
-    Fitness[P] = rosenbrock(Pos[P], WC);
-    BestPos[P] = Pos[P];
-    BestFitness[P] = Fitness[P];
-  }
-  size_t GlobalBest = 0;
-  for (size_t P = 1; P < Swarm; ++P)
-    if (BestFitness[P] < BestFitness[GlobalBest])
-      GlobalBest = P;
-
-  CallContextLog Log;
   PhaseMap PM(NominalIterations ? NominalIterations : MaxIterations,
               Schedule.numPhases());
 
-  auto MeanBest = [&]() {
-    double Sum = 0.0;
-    for (double F : BestFitness)
-      Sum += std::log1p(F);
-    return Sum / static_cast<double>(Swarm);
-  };
   // Convergence watches the *mean* personal-best fitness: when most of
   // the swarm stops improving (because it converged -- or because
   // perforation froze its fitness), the loop terminates. This is the
   // premature-convergence hazard that makes early-phase approximation so
-  // profitable and so dangerous (Figs. 9b/10b).
-  double PreviousBest = MeanBest();
-  size_t StagnantStreak = 0;
-  size_t Iter = 0;
-  // Global-best trajectory, one entry per iteration; the QoS compares
-  // runs by their convergence curves.
-  std::vector<double> BestHistory;
+  // profitable and so dangerous (Figs. 9b/10b). The QoS compares runs by
+  // their global-best convergence curves (BestHistory).
+  size_t Iter = Loop.firstIteration();
   while (Iter < MaxIterations && StagnantStreak < StagnationPatience) {
+    Loop.atIteration(Iter, S);
     Log.beginIteration();
     size_t Phase = PM.phaseOf(Iter);
 
@@ -205,7 +232,7 @@ RunResult Pso::run(const std::vector<double> &Input,
     }
 
     // --- convergence check ----------------------------------------------
-    double Current = MeanBest();
+    double Current = meanBest(BestFitness);
     double Improvement = (PreviousBest - Current) /
                          std::max(std::fabs(PreviousBest), 1e-12);
     if (Improvement < StagnationTolerance)
@@ -218,8 +245,6 @@ RunResult Pso::run(const std::vector<double> &Input,
   }
 
   RunResult R;
-  R.WorkUnits = WC.total();
-  R.OuterIterations = Iter;
   // Output: each particle's best fitness (the paper's QoS basis) plus
   // the global best position.
   // Output: the per-particle best fitness values (log-compressed; the
@@ -238,10 +263,7 @@ RunResult Pso::run(const std::vector<double> &Input,
     R.Output.push_back(std::log1p(BestHistory[std::min(
         At, BestHistory.size() - 1)]));
   }
-  R.ControlFlowSignature = Log.signature();
-  R.WorkPerIteration.reserve(Iter);
-  for (size_t I = 0; I < Iter; ++I)
-    R.WorkPerIteration.push_back(Log.workInIteration(I));
+  Loop.finish(R, Iter);
   return R;
 }
 

@@ -16,6 +16,7 @@ namespace {
 /// stable, so the hot path touches relaxed atomics only).
 struct ProfilerMetrics {
   Counter &Runs;
+  Counter &PrefixReused;
   Counter &GoldenHits;
   Counter &GoldenMisses;
   Histogram &RunMs;
@@ -24,6 +25,8 @@ struct ProfilerMetrics {
   static ProfilerMetrics &get() {
     static ProfilerMetrics M{
         MetricsRegistry::global().counter("profiler.runs"),
+        MetricsRegistry::global().counter(
+            "profiler.prefix_iterations_reused"),
         MetricsRegistry::global().counter("profiler.golden_cache.hits"),
         MetricsRegistry::global().counter("profiler.golden_cache.misses"),
         MetricsRegistry::global().histogram("profiler.run_ms"),
@@ -54,9 +57,10 @@ size_t SignatureRegistry::numClasses() const {
   return Classes.size();
 }
 
-TrainingSample Profiler::measure(const std::vector<double> &Input,
-                                 const std::vector<int> &Levels, int Phase,
-                                 size_t NumPhases) {
+TrainingSample Profiler::measureFrom(const std::vector<double> &Input,
+                                     const std::vector<int> &Levels,
+                                     int Phase, size_t NumPhases,
+                                     const LoopCheckpoint *From) {
   TraceSpan Span("profiler.measure", "profiler");
   Span.arg("phase", static_cast<double>(Phase));
 
@@ -68,7 +72,13 @@ TrainingSample Profiler::measure(const std::vector<double> &Input,
           ? PhaseSchedule::uniform(NumPhases, Levels)
           : PhaseSchedule::singlePhase(NumPhases,
                                        static_cast<size_t>(Phase), Levels);
-  RunResult Approx = App.run(Input, Schedule, Nominal);
+  RunResult Approx;
+  if (From) {
+    Approx = App.resume(Input, Schedule, Nominal, *From, Exact);
+    ProfilerMetrics::get().PrefixReused.add(From->Iteration);
+  } else {
+    Approx = App.run(Input, Schedule, Nominal);
+  }
   RunCount.fetch_add(1, std::memory_order_relaxed);
   ProfilerMetrics::get().Runs.add();
   ProfilerMetrics::get().RunMs.record(Span.seconds() * 1e3);
@@ -96,11 +106,19 @@ TrainingSet Profiler::collect(const std::vector<std::vector<double>> &Inputs,
 
   // Golden runs first, in parallel across inputs: they are the serial
   // bottleneck of the sweep (every measurement needs its input's exact
-  // run) and each is computed once under the cache's entry latch.
+  // run) and each is computed once under the cache's entry latch. Each
+  // leaves checkpoints at its phase starts for the single-phase runs to
+  // resume from; an input whose golden run was already cached has none,
+  // and its runs start from iteration 0.
+  std::vector<CheckpointRecorder> Recorders;
+  Recorders.reserve(Inputs.size());
+  for (size_t I = 0; I < Inputs.size(); ++I)
+    Recorders.emplace_back(Opts.NumPhases);
   {
     TraceSpan GoldenSpan("profiler.golden_prologue", "profiler");
-    Pool.parallelFor(Inputs.size(),
-                     [&](size_t I) { (void)Golden.exactRun(Inputs[I]); });
+    Pool.parallelFor(Inputs.size(), [&](size_t I) {
+      (void)Golden.exactRun(Inputs[I], &Recorders[I]);
+    });
   }
 
   // Register control flow in input order so class ids are deterministic
@@ -114,7 +132,7 @@ TrainingSet Profiler::collect(const std::vector<std::vector<double>> &Inputs,
   // sampling RNG sequentially in input order. Plans are fixed before any
   // measurement runs, so they cannot depend on execution order.
   struct MeasureTask {
-    const std::vector<double> *Input;
+    size_t InputIndex;
     std::vector<int> Levels;
     int Phase;
   };
@@ -125,9 +143,9 @@ TrainingSet Profiler::collect(const std::vector<std::vector<double>> &Inputs,
         makeSamplingPlan(App.maxLevels(), Opts.RandomJointSamples, SampleRng);
     Plan.forEach([&](const std::vector<int> &Levels) {
       for (size_t Phase = 0; Phase < Opts.NumPhases; ++Phase)
-        Tasks.push_back({&Inputs[I], Levels, static_cast<int>(Phase)});
+        Tasks.push_back({I, Levels, static_cast<int>(Phase)});
       if (Opts.IncludeAllPhaseRuns)
-        Tasks.push_back({&Inputs[I], Levels, AllPhases});
+        Tasks.push_back({I, Levels, AllPhases});
     });
   }
 
@@ -138,7 +156,13 @@ TrainingSet Profiler::collect(const std::vector<std::vector<double>> &Inputs,
   std::mutex ObserverMutex;
   Pool.parallelFor(Tasks.size(), [&](size_t T) {
     const MeasureTask &Task = Tasks[T];
-    Samples[T] = measure(*Task.Input, Task.Levels, Task.Phase, Opts.NumPhases);
+    const LoopCheckpoint *From =
+        Task.Phase == AllPhases
+            ? nullptr
+            : Recorders[Task.InputIndex].resumePointFor(
+                  static_cast<size_t>(Task.Phase));
+    Samples[T] = measureFrom(Inputs[Task.InputIndex], Task.Levels, Task.Phase,
+                             Opts.NumPhases, From);
     if (Opts.Observer) {
       // The snapshot is assembled entirely from atomics -- the same ones
       // the telemetry layer exports -- before ObserverMutex is taken, so

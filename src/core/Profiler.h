@@ -17,6 +17,12 @@
 /// returned TrainingSet is bit-identical for any worker count (see
 /// docs/ARCHITECTURE.md, "Determinism contract").
 ///
+/// collect() also reuses phase prefixes: a run approximating only phase
+/// P > 0 repeats the input's exact run until phase P starts, so it
+/// resumes from a checkpoint the golden run left there
+/// (apps/LoopCheckpoint.h) instead of recomputing the prefix. Every
+/// sample stays bit-identical to measure(), the from-scratch reference.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPPROX_CORE_PROFILER_H
@@ -92,9 +98,10 @@ struct ProfileOptions {
   size_t RandomJointSamples = 32;
   /// Also collect uniform (all-phase) samples, one per configuration.
   bool IncludeAllPhaseRuns = true;
-  /// Base seed for the sampling RNG. Input number I draws its sampling
-  /// plan from deriveSeed(Seed, I), so each input's plan is independent
-  /// of every other input's and of the worker count.
+  /// Seed for the sampling RNG. collect() draws every input's sampling
+  /// plan from one generator seeded here, in input order, before any
+  /// measurement runs: the plans depend on the seed and the input list,
+  /// never on the worker count.
   uint64_t Seed = 0x0991;
   /// Measurement parallelism: 1 = serial, N = N executors, 0 = auto
   /// (the OPPROX_THREADS environment variable when set, otherwise
@@ -117,23 +124,33 @@ public:
   TrainingSet collect(const std::vector<std::vector<double>> &Inputs,
                       const ProfileOptions &Opts);
 
-  /// Executes one configuration in one phase (or AllPhases) and builds
-  /// the sample. Exposed for tests and the phase detector. Thread-safe:
-  /// may be called concurrently from pool workers.
+  /// Executes one configuration in one phase (or AllPhases) from
+  /// iteration 0 and builds the sample: the reference collect()'s resumed
+  /// runs reproduce bit for bit. Exposed for tests and the phase
+  /// detector. Thread-safe: may be called concurrently from pool workers.
   TrainingSample measure(const std::vector<double> &Input,
                          const std::vector<int> &Levels, int Phase,
-                         size_t NumPhases);
+                         size_t NumPhases) {
+    return measureFrom(Input, Levels, Phase, NumPhases, nullptr);
+  }
 
   SignatureRegistry &signatures() { return Registry; }
   GoldenCache &golden() { return Golden; }
   const ApproxApp &app() const { return App; }
 
-  /// Total application runs performed so far (golden runs excluded).
+  /// Total application runs performed so far (golden runs excluded,
+  /// resumed runs included).
   size_t runsPerformed() const {
     return RunCount.load(std::memory_order_relaxed);
   }
 
 private:
+  /// measure(), resuming from \p From (a checkpoint of Input's exact
+  /// run at or before the phase's start) when it is not null.
+  TrainingSample measureFrom(const std::vector<double> &Input,
+                             const std::vector<int> &Levels, int Phase,
+                             size_t NumPhases, const LoopCheckpoint *From);
+
   const ApproxApp &App;
   GoldenCache &Golden;
   SignatureRegistry Registry;

@@ -79,10 +79,11 @@ private:
 /// (Base, Stream, Substream), never on execution order or worker count.
 /// Established derivations (docs/ARCHITECTURE.md, "Determinism
 /// contract"):
-///  - Profiler::collect: deriveSeed(ProfileOptions::Seed, InputIndex)
-///    seeds input InputIndex's sampling plan;
 ///  - ModelBuilder::build: deriveSeed(ModelBuildOptions::Seed, ClassId,
 ///    Phase) seeds the (control-flow class, phase) model-fit task.
+/// Profiler::collect does not derive per-input seeds: it draws every
+/// input's sampling plan from one Rng(ProfileOptions::Seed), in input
+/// order, before the sweep starts.
 uint64_t deriveSeed(uint64_t Base, uint64_t Stream, uint64_t Substream = 0);
 
 } // namespace opprox
