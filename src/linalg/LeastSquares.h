@@ -27,7 +27,9 @@ std::optional<std::vector<double>> solveLeastSquares(const Matrix &A,
                                                      const std::vector<double> &B);
 
 /// Minimizes ||A x - B||^2 + Lambda ||x||^2 via the normal equations with
-/// Cholesky. Lambda > 0 guarantees a solution for any A.
+/// Cholesky. Lambda > 0 guarantees a solution for any A. Only the lower
+/// half of A^T A is formed; its entries are bit-identical to the full
+/// product's.
 std::vector<double> solveRidge(const Matrix &A, const std::vector<double> &B,
                                double Lambda);
 

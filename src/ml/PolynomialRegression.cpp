@@ -10,6 +10,7 @@
 #include "support/Simd.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
+#include "support/Telemetry.h"
 #include <cmath>
 
 using namespace opprox;
@@ -17,6 +18,8 @@ using namespace opprox;
 PolynomialRegression PolynomialRegression::fit(const Dataset &Data,
                                                const Options &Opts) {
   assert(!Data.empty() && "cannot fit on an empty dataset");
+  static Counter &RidgeFallbacks =
+      MetricsRegistry::global().counter("ml.fit.ridge_fallbacks");
   size_t NumInputs = Data.numFeatures();
   PolynomialRegression Model(Opts, NumInputs);
 
@@ -53,6 +56,7 @@ PolynomialRegression PolynomialRegression::fit(const Dataset &Data,
     }
   }
   // Underdetermined or rank deficient: ridge keeps the fit well-posed.
+  RidgeFallbacks.add();
   Model.Coefficients = solveRidge(A, Data.targets(), Opts.Ridge);
   return Model;
 }

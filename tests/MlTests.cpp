@@ -12,7 +12,9 @@
 #include "ml/PolynomialFeatures.h"
 #include "ml/PolynomialRegression.h"
 #include "support/AlignedBuffer.h"
+#include "support/Json.h"
 #include "support/Simd.h"
+#include "support/Telemetry.h"
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
@@ -133,6 +135,35 @@ TEST(PolyRegTest, UnderdeterminedFallsBackToRidge) {
   PolynomialRegression M = PolynomialRegression::fit(D, O);
   // Ridge interpolates the training points closely.
   EXPECT_NEAR(M.predict({1, 0}), 2.0, 0.2);
+}
+
+TEST(PolyRegTest, RidgeFallbacksAreCounted) {
+  Counter &Fallbacks =
+      MetricsRegistry::global().counter("ml.fit.ridge_fallbacks");
+  uint64_t Before = Fallbacks.value();
+  PolynomialRegression::Options O;
+  O.Degree = 2;
+  // A well-posed fit registers the counter without bumping it.
+  PolynomialRegression::fit(makeQuadratic(40, 0.0, 4), O);
+  EXPECT_EQ(Fallbacks.value(), Before);
+  Json Snapshot = MetricsRegistry::global().snapshotJson();
+  const Json *Counters = Snapshot.find("counters");
+  ASSERT_NE(Counters, nullptr);
+  EXPECT_NE(Counters->find("ml.fit.ridge_fallbacks"), nullptr);
+  // Underdetermined: 3 samples for 6 terms.
+  Dataset Few({"x", "y"});
+  Few.addSample({0, 0}, 1);
+  Few.addSample({1, 0}, 2);
+  Few.addSample({0, 1}, 3);
+  PolynomialRegression::fit(Few, O);
+  EXPECT_EQ(Fallbacks.value(), Before + 1);
+  // Rank deficient: a binary feature makes x^2 equal x.
+  Dataset Binary({"x", "y"});
+  Rng R(5);
+  for (int I = 0; I < 20; ++I)
+    Binary.addSample({double(I % 2), R.uniform(-1, 1)}, R.uniform());
+  PolynomialRegression::fit(Binary, O);
+  EXPECT_EQ(Fallbacks.value(), Before + 2);
 }
 
 TEST(PolyRegTest, LinearDegreeUnderfitsQuadratic) {
