@@ -28,12 +28,12 @@ PhaseSchedule optimizeWithShares(const Opprox &Tuner,
   const AppModel &Model = Tuner.model();
   std::vector<int> MaxLevels = Tuner.app().maxLevels();
   PhaseSchedule S(Model.numPhases(), MaxLevels.size());
-  size_t Evaluated = 0;
+  PhaseSearchStats Stats;
   OptimizeOptions Opts;
   for (size_t P = 0; P < Model.numPhases(); ++P) {
     PhaseDecision D =
         optimizePhase(Model.phaseModels(Input, P), Input, MaxLevels,
-                      Budget * Shares[P], Opts, Evaluated);
+                      Budget * Shares[P], Opts, Stats);
     S.setPhaseLevels(P, D.Levels);
   }
   return S;

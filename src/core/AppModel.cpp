@@ -223,7 +223,6 @@ PhaseEvalPlan PhaseModels::makeEvalPlan(const std::vector<double> &Input,
          "model stack not built");
   size_t NumBlocks = LocalSpeedup.size();
   assert(MaxLevels.size() == NumBlocks && "level count mismatch");
-  size_t NumInputs = Input.size();
 
   PhaseEvalPlan Plan;
   Plan.Input = Input;
@@ -246,55 +245,6 @@ PhaseEvalPlan PhaseModels::makeEvalPlan(const std::vector<double> &Input,
       Plan.LocalSpeedupTab[B].push_back(LocalSpeedup[B].predict(LocalX));
       Plan.LocalQosTab[B].push_back(LocalQos[B].predict(LocalX));
     }
-  }
-
-  // Certified QoS floor per (block, level): interval bounds on the
-  // overall QoS model over every configuration with that block pinned.
-  // The overall features reach only finitely many values per coordinate
-  // -- the table entries -- so their hull is an exact box; the iteration
-  // estimate is bounded by interval arithmetic over its own box.
-  std::vector<double> IterLo(NumInputs + NumBlocks);
-  std::vector<double> IterHi(NumInputs + NumBlocks);
-  std::copy(Input.begin(), Input.end(), IterLo.begin());
-  std::copy(Input.begin(), Input.end(), IterHi.begin());
-  for (size_t B = 0; B < NumBlocks; ++B) {
-    IterLo[NumInputs + B] = 0.0;
-    IterHi[NumInputs + B] = static_cast<double>(MaxLevels[B]);
-  }
-  std::vector<double> QLo(NumBlocks), QHi(NumBlocks);
-  for (size_t B = 0; B < NumBlocks; ++B) {
-    auto [MinIt, MaxIt] = std::minmax_element(Plan.LocalQosTab[B].begin(),
-                                              Plan.LocalQosTab[B].end());
-    QLo[B] = *MinIt;
-    QHi[B] = *MaxIt;
-  }
-  Plan.QosFloor.resize(NumBlocks);
-  std::vector<double> FLo(NumBlocks + 1), FHi(NumBlocks + 1);
-  for (size_t B = 0; B < NumBlocks; ++B) {
-    for (int L = 0; L <= MaxLevels[B]; ++L) {
-      IterLo[NumInputs + B] = static_cast<double>(L);
-      IterHi[NumInputs + B] = static_cast<double>(L);
-      auto [ItLo, ItHi] = IterationModel->boundsOver(IterLo, IterHi);
-      for (size_t C = 0; C < NumBlocks; ++C) {
-        FLo[C] = C == B ? Plan.LocalQosTab[B][static_cast<size_t>(L)]
-                        : QLo[C];
-        FHi[C] = C == B ? Plan.LocalQosTab[B][static_cast<size_t>(L)]
-                        : QHi[C];
-      }
-      FLo[NumBlocks] = ItLo;
-      FHi[NumBlocks] = ItHi;
-      double LogLo = OverallQos->boundsOver(FLo, FHi).first;
-      if (Conservative)
-        LogLo += Plan.QosHalfWidth;
-      double Floor =
-          std::clamp(std::expm1(std::min(LogLo, 7.0)), 0.0, 1000.0);
-      // Guard against any non-monotone rounding in the transform chain;
-      // vastly larger than 1 ulp at every reachable magnitude.
-      Floor -= 1e-9 * std::fabs(Floor) + 1e-12;
-      Plan.QosFloor[B].push_back(Floor);
-    }
-    IterLo[NumInputs + B] = 0.0;
-    IterHi[NumInputs + B] = static_cast<double>(MaxLevels[B]);
   }
   return Plan;
 }

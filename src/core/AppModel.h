@@ -48,12 +48,6 @@ struct PhaseEvalPlan {
   /// predict calls the naive path makes.
   std::vector<std::vector<double>> LocalSpeedupTab; // [Block][Level]
   std::vector<std::vector<double>> LocalQosTab;     // [Block][Level]
-  /// Certified lower bound on the (conservative, when enabled) QoS
-  /// degradation over every configuration with the given block pinned at
-  /// the given level. When this exceeds the budget the whole odometer
-  /// subtree is infeasible and can be skipped without changing the scan
-  /// result.
-  std::vector<std::vector<double>> QosFloor; // [Block][Level]
 };
 
 /// Per-thread workspace for the batched prediction kernels; reuse across
@@ -91,9 +85,8 @@ public:
                            const std::vector<int> &Levels) const;
 
   /// Builds the shared evaluation state for scanning the level space
-  /// [0, MaxLevels[b]] per block for \p Input: local prediction tables,
-  /// confidence half-widths, and the certified per-(block, level) QoS
-  /// floors used for subtree pruning.
+  /// [0, MaxLevels[b]] per block for \p Input: local prediction tables
+  /// and confidence half-widths.
   PhaseEvalPlan makeEvalPlan(const std::vector<double> &Input,
                              const std::vector<int> &MaxLevels,
                              bool Conservative, double Confidence) const;

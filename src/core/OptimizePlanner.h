@@ -17,7 +17,7 @@
 ///     decision-relevant options.
 ///  2. **Lookup**: consult the sharded ScheduleCache (positive and
 ///     negative entries), then the artifact's precomputed budget grids.
-///  3. **Compute**: fall through to the existing pruned/batched
+///  3. **Compute**: fall through to the existing batched
 ///     Algorithm-2 search, and memoize the result.
 ///
 /// The contract is bit-identity: a result served from any layer is

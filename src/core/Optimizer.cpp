@@ -9,16 +9,13 @@
 //  - the naive reference: one scalar model evaluation per configuration,
 //    in enumeration order -- the semantic ground truth;
 //  - the serving path: configurations stream from a ConfigCursor into
-//    reused batch buffers, certified-infeasible odometer subtrees are
-//    skipped, feasibility (QoS) and scoring (speedup) run as batched
-//    matrix kernels, and fixed-size index chunks fan out across a thread
-//    pool.
+//    reused batch buffers, feasibility (QoS) and scoring (speedup) run
+//    as batched matrix kernels, and fixed-size index chunks fan out
+//    across a thread pool.
 //
 // The serving path reproduces the reference bit for bit: batch kernels
 // evaluate each row with the exact operation sequence of the scalar
-// predicts, pruning discharges only configurations whose certified QoS
-// floor already exceeds the budget (which the reference would reject
-// anyway), and the chunk reduction replays the reference's
+// predicts, and the chunk reduction replays the reference's
 // first-strictly-greater tie-break in enumeration order.
 //
 //===----------------------------------------------------------------------===//
@@ -75,7 +72,6 @@ void checkIterations(double V) {
 struct OptimizerMetrics {
   Counter &Calls;
   Counter &ConfigsEvaluated;
-  Counter &ConfigsPruned;
   Counter &LeftoverRedistributed;
   Counter &DegradedPhases;
   Gauge &ConfigsPerSec;
@@ -90,7 +86,6 @@ struct OptimizerMetrics {
     static OptimizerMetrics M{
         MetricsRegistry::global().counter("optimize.calls"),
         MetricsRegistry::global().counter("optimize.configs_evaluated"),
-        MetricsRegistry::global().counter("optimize.configs_pruned"),
         MetricsRegistry::global().counter("optimize.leftover_redistributed"),
         MetricsRegistry::global().counter("runtime.degraded_phases"),
         MetricsRegistry::global().gauge("optimize.configs_per_sec"),
@@ -116,7 +111,6 @@ struct RangeBest {
   double Speedup = 1.0; // The all-exact baseline the reference starts at.
   double Qos = 0.0;
   bool Found = false; // Whether any config strictly beat the baseline.
-  size_t Pruned = 0;
   size_t Scored = 0;
   double Seconds = 0.0; // Chunk execution time, for utilization metrics.
 };
@@ -174,8 +168,7 @@ PhaseDecision naiveScan(const PhaseModels &Models,
 }
 
 /// Scans enumeration indices [Lo, Hi): streams configurations from a
-/// cursor, skips certified-infeasible subtrees, and pushes the rest
-/// through the batched kernels. Within the range the first strictly
+/// cursor through the batched kernels. Within the range the first strictly
 /// better configuration wins, matching the reference's scan order.
 void scanRange(const PhaseModels &Models, const PhaseEvalPlan &Plan,
                double Budget, const OptimizeOptions &Opts, size_t Lo,
@@ -187,7 +180,6 @@ void scanRange(const PhaseModels &Models, const PhaseEvalPlan &Plan,
   Cursor.seek(Lo);
 
   while (!Cursor.done() && Cursor.index() < Hi) {
-    // Assemble the next batch, pruning as we stream.
     S.BatchLevels.clear();
     size_t Rows = 0;
     while (!Cursor.done() && Cursor.index() < Hi && Rows < BatchSize) {
@@ -195,24 +187,6 @@ void scanRange(const PhaseModels &Models, const PhaseEvalPlan &Plan,
       if (Cursor.index() == 0) { // All-exact baseline; already Best.
         Cursor.next();
         continue;
-      }
-      if (Opts.Prune) {
-        // Highest digit whose (block, level) QoS floor busts the budget
-        // discharges the largest subtree.
-        size_t SkipDigit = NumBlocks;
-        for (size_t B = NumBlocks; B-- > 0;) {
-          if (Plan.QosFloor[B][static_cast<size_t>(Levels[B])] > Budget) {
-            SkipDigit = B;
-            break;
-          }
-        }
-        if (SkipDigit != NumBlocks) {
-          size_t Before = Cursor.index();
-          Cursor.skipSubtree(SkipDigit);
-          size_t After = Cursor.done() ? Cursor.spaceSize() : Cursor.index();
-          R.Pruned += std::min(After, Hi) - Before;
-          continue;
-        }
       }
       S.BatchLevels.insert(S.BatchLevels.end(), Levels.begin(), Levels.end());
       ++Rows;
@@ -278,11 +252,10 @@ size_t resolveScanExecutors(const OptimizeOptions &Opts) {
 
 /// Chunk geometry for one phase scan. An explicit ChunkSize pins it;
 /// 0 (auto) sizes chunks off the space and the executor count: about
-/// four chunks per executor -- enough slack for dynamic balancing when
-/// pruning makes chunk costs uneven -- rounded up to whole batches, and
-/// one single chunk when the scan is serial anyway. Decisions and stats
-/// are chunking-invariant (see batchedScan), so this is purely a
-/// throughput knob.
+/// four chunks per executor -- slack for dynamic balancing -- rounded
+/// up to whole batches, and one single chunk when the scan is serial
+/// anyway. Decisions and stats are chunking-invariant (see batchedScan),
+/// so this is purely a throughput knob.
 size_t resolveChunkSize(size_t Total, size_t Executors,
                         const OptimizeOptions &Opts) {
   if (Opts.ChunkSize != 0)
@@ -295,8 +268,8 @@ size_t resolveChunkSize(size_t Total, size_t Executors,
   return (Chunk + Opts.BatchSize - 1) / Opts.BatchSize * Opts.BatchSize;
 }
 
-/// The serving engine: batched, pruned, and (for > 1 executor) chunked
-/// across the pool.
+/// The serving engine: batched, and (for > 1 executor) chunked across
+/// the pool.
 PhaseDecision batchedScan(const PhaseModels &Models,
                           const std::vector<double> &Input,
                           const std::vector<int> &MaxLevels, double Budget,
@@ -324,9 +297,8 @@ PhaseDecision batchedScan(const PhaseModels &Models,
   // order -- so the result is identical for every worker count,
   // including zero. Worker count *may* shift the auto boundaries, but
   // that too is decision- and stats-invariant: the reduction replays
-  // the serial first-best-wins order, and a pruned subtree clipped at a
-  // boundary is re-pruned from the next chunk's first configuration, so
-  // the per-config pruned/scored partition is unchanged.
+  // the serial first-best-wins order, and every chunk scores each of
+  // its configurations except the all-exact baseline.
   using Clock = std::chrono::steady_clock;
   auto RunChunk = [&](size_t C) {
     thread_local ScanScratch Scratch;
@@ -355,7 +327,6 @@ PhaseDecision batchedScan(const PhaseModels &Models,
   Best.AllocatedBudget = Budget;
   double BusySeconds = 0.0;
   for (const RangeBest &R : Chunks) {
-    Stats.ConfigsPruned += R.Pruned;
     Stats.ConfigsScored += R.Scored;
     BusySeconds += R.Seconds;
     // Strict > replays the reference's earliest-wins tie-break: a later
@@ -387,19 +358,6 @@ PhaseDecision opprox::optimizePhase(const PhaseModels &Models,
   if (Opts.UseNaiveScan)
     return naiveScan(Models, Input, MaxLevels, Budget, Opts, Stats);
   return batchedScan(Models, Input, MaxLevels, Budget, Opts, Stats);
-}
-
-PhaseDecision opprox::optimizePhase(const PhaseModels &Models,
-                                    const std::vector<double> &Input,
-                                    const std::vector<int> &MaxLevels,
-                                    double Budget,
-                                    const OptimizeOptions &Opts,
-                                    size_t &ConfigsEvaluated) {
-  PhaseSearchStats Stats;
-  PhaseDecision Decision =
-      optimizePhase(Models, Input, MaxLevels, Budget, Opts, Stats);
-  ConfigsEvaluated += Stats.ConfigsEvaluated;
-  return Decision;
 }
 
 /// Shared Algorithm 2 engine over phases [FirstPhase, numPhases).
@@ -512,10 +470,8 @@ optimizeScheduleImpl(const AppModel &Model, const std::vector<double> &Input,
   // order so the result is stable for callers that serialize it.
   std::sort(Result.DegradedPhases.begin(), Result.DegradedPhases.end());
   Result.ConfigsEvaluated = Stats.ConfigsEvaluated;
-  Result.ConfigsPruned = Stats.ConfigsPruned;
   Result.ConfigsScored = Stats.ConfigsScored;
   Metrics.ConfigsEvaluated.add(Stats.ConfigsEvaluated);
-  Metrics.ConfigsPruned.add(Stats.ConfigsPruned);
   double Elapsed = ScheduleSpan.seconds();
   if (Elapsed > 0.0)
     Metrics.ConfigsPerSec.set(static_cast<double>(Stats.ConfigsEvaluated) /

@@ -34,10 +34,6 @@ struct OptimizeOptions {
   /// Exists for equivalence testing and benchmarking; both paths return
   /// bit-identical decisions.
   bool UseNaiveScan = false;
-  /// Skip odometer subtrees whose certified QoS floor exceeds the
-  /// budget. Pruning only removes provably infeasible configurations,
-  /// so it never changes the decision; off is for diagnostics.
-  bool Prune = true;
   /// Configurations predicted per model-batch call. Must be positive;
   /// 0 is a caller bug and fails loudly (reportFatalError) in every
   /// build type.
@@ -48,9 +44,7 @@ struct OptimizeOptions {
   /// to whole batches -- so large spaces actually engage the whole
   /// pool. A positive value pins the geometry explicitly. Either way
   /// the decision (and the search stats) are chunking-invariant: the
-  /// reduction replays the serial scan's first-best-wins order, and a
-  /// subtree clipped at a chunk boundary is re-pruned from the next
-  /// chunk's start.
+  /// reduction replays the serial scan's first-best-wins order.
   size_t ChunkSize = 0;
   /// Worker threads for the per-phase scan when \c Pool is null:
   /// 1 = serial, 0 = auto (OPPROX_THREADS, else hardware concurrency).
@@ -70,11 +64,9 @@ struct PhaseDecision {
 
 /// Search-effort accounting for one or more phase scans.
 struct PhaseSearchStats {
-  /// Configurations covered by the search (the full space, whether
-  /// visited individually or discharged by a subtree skip).
+  /// Configurations covered by the search: the full space, including
+  /// the all-exact baseline that is never scored.
   size_t ConfigsEvaluated = 0;
-  /// Configurations discharged by certified subtree pruning.
-  size_t ConfigsPruned = 0;
   /// Configurations actually routed through the prediction models.
   size_t ConfigsScored = 0;
 };
@@ -94,6 +86,9 @@ struct OptimizationResult {
   /// racing on counter deltas.
   std::vector<size_t> DegradedPhases;
   size_t ConfigsEvaluated = 0;
+  /// Always 0: the scan scores every configuration. Kept because the
+  /// schema-1.2 budget-grid sections write and read "configs_pruned"
+  /// and perfbench's core.pruned_frac reads this field.
   size_t ConfigsPruned = 0;
   size_t ConfigsScored = 0;
 };
@@ -103,19 +98,12 @@ struct OptimizationResult {
 /// decision when nothing fits. The decision is identical -- bit for bit,
 /// including ties, which resolve to the earliest configuration in
 /// enumeration order -- for every combination of Opts.UseNaiveScan,
-/// Prune, BatchSize, ChunkSize, and worker count.
+/// BatchSize, ChunkSize, and worker count.
 PhaseDecision optimizePhase(const PhaseModels &Models,
                             const std::vector<double> &Input,
                             const std::vector<int> &MaxLevels, double Budget,
                             const OptimizeOptions &Opts,
                             PhaseSearchStats &Stats);
-
-/// Back-compat wrapper tracking only the evaluated-config count.
-PhaseDecision optimizePhase(const PhaseModels &Models,
-                            const std::vector<double> &Input,
-                            const std::vector<int> &MaxLevels, double Budget,
-                            const OptimizeOptions &Opts,
-                            size_t &ConfigsEvaluated);
 
 /// Algorithm 2 over all phases.
 OptimizationResult optimizeSchedule(const AppModel &Model,

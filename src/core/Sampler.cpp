@@ -109,14 +109,6 @@ void ConfigCursor::seek(size_t Index) {
         Index / Stride[B] % (static_cast<size_t>(MaxLevels[B]) + 1));
 }
 
-void ConfigCursor::skipSubtree(size_t Digit) {
-  assert(!Done && "skip past the end");
-  assert(Digit < Current.size() && "skip digit out of range");
-  // Next multiple of Stride[Digit] strictly above the current position:
-  // zeroes digits below Digit and bumps Digit (with carry).
-  seek((Position / Stride[Digit] + 1) * Stride[Digit]);
-}
-
 std::vector<std::vector<int>>
 opprox::enumerateAllConfigs(const std::vector<int> &MaxLevels, size_t Limit) {
   Expected<size_t> Total = configSpaceSize(MaxLevels, Limit);

@@ -62,7 +62,7 @@ Expected<size_t> configSpaceSize(const std::vector<int> &MaxLevels,
 /// order as enumerateAllConfigs (block 0 is the fastest digit; all-exact
 /// first). One reused levels buffer replaces materializing the whole
 /// space, and the global enumeration index gives random access (seek)
-/// for sharding plus subtree skips for pruned search.
+/// for sharding the scan into chunks.
 class ConfigCursor {
 public:
   /// Positions the cursor at the all-exact configuration (index 0).
@@ -88,13 +88,6 @@ public:
   /// Jumps to the configuration at \p Index in enumeration order; an
   /// index >= spaceSize() marks the cursor done.
   void seek(size_t Index);
-
-  /// Skips every remaining configuration sharing the current values of
-  /// digits Digit and above with lower digits not yet exhausted -- i.e.
-  /// advances digit \p Digit by one, zeroing digits below it (with carry
-  /// into higher digits). Used to discard a whole subtree once a bound
-  /// proves digit Digit's current level infeasible.
-  void skipSubtree(size_t Digit);
 
 private:
   std::vector<int> MaxLevels;

@@ -258,41 +258,6 @@ void SelectedModel::predictBatch(const Matrix &X, std::vector<double> &Out,
   }
 }
 
-std::pair<double, double>
-SelectedModel::boundsOver(const std::vector<double> &Lo,
-                          const std::vector<double> &Hi) const {
-  assert(!Submodels.empty() && "bounds on untrained model");
-  std::vector<double> FLo = filterFeatures(Lo);
-  std::vector<double> FHi = filterFeatures(Hi);
-  if (SplitBoundaries.empty())
-    return Submodels.front().boundsOver(FLo, FHi);
-
-  // With subcategory splitting only some sub-models can fire inside the
-  // box; hull their bounds. submodelFor routes value V to the first
-  // boundary with V < B[m] (or the last sub-model), so sub-model m is
-  // reachable iff some V in [VLo, VHi] takes that branch.
-  double VLo = FLo[SplitFeature];
-  double VHi = FHi[SplitFeature];
-  double HullLo = std::numeric_limits<double>::infinity();
-  double HullHi = -std::numeric_limits<double>::infinity();
-  for (size_t M = 0; M <= SplitBoundaries.size(); ++M) {
-    bool Reachable;
-    if (M == 0)
-      Reachable = VLo < SplitBoundaries[0];
-    else if (M == SplitBoundaries.size())
-      Reachable = VHi >= SplitBoundaries.back();
-    else
-      Reachable = VHi >= SplitBoundaries[M - 1] && VLo < SplitBoundaries[M];
-    if (!Reachable)
-      continue;
-    auto [BLo, BHi] = Submodels[M].boundsOver(FLo, FHi);
-    HullLo = std::min(HullLo, BLo);
-    HullHi = std::max(HullHi, BHi);
-  }
-  assert(HullLo <= HullHi && "no reachable submodel over a non-empty box");
-  return {HullLo, HullHi};
-}
-
 int SelectedModel::degree() const {
   assert(!Submodels.empty() && "degree of untrained model");
   return Submodels.front().degree();

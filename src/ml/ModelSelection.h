@@ -84,14 +84,6 @@ public:
   void predictBatch(const Matrix &X, std::vector<double> &Out,
                     BatchScratch &S) const;
 
-  /// Certified bounds on predict() over the axis-aligned box
-  /// [Lo[i], Hi[i]] of raw (unfiltered) features: the hull of the
-  /// reachable sub-models' polynomial bounds, widened for floating-point
-  /// rounding (see PolynomialRegression::boundsOver), so comparisons
-  /// against exact predict() values may safely prune on them.
-  std::pair<double, double> boundsOver(const std::vector<double> &Lo,
-                                       const std::vector<double> &Hi) const;
-
   /// Conservative bounds using the training-residual distribution.
   double upperBound(const std::vector<double> &X, double P) const {
     return Interval.upperBound(predict(X), P);

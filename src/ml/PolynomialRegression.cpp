@@ -116,81 +116,6 @@ void PolynomialRegression::predictBatchColumns(const double *Cols,
                         S.Term.ensure(ZStride));
 }
 
-namespace {
-/// Bounds of x^e over [Lo, Hi] in real arithmetic.
-void powerBounds(double Lo, double Hi, int E, double &PLo, double &PHi) {
-  if (E == 0) {
-    PLo = PHi = 1.0;
-    return;
-  }
-  double PowLo = std::pow(Lo, E);
-  double PowHi = std::pow(Hi, E);
-  if (E % 2 != 0) { // Odd powers are monotone.
-    PLo = PowLo;
-    PHi = PowHi;
-  } else if (Lo >= 0.0) {
-    PLo = PowLo;
-    PHi = PowHi;
-  } else if (Hi <= 0.0) {
-    PLo = PowHi;
-    PHi = PowLo;
-  } else { // Interval straddles zero: even power touches 0.
-    PLo = 0.0;
-    PHi = std::max(PowLo, PowHi);
-  }
-}
-
-/// Interval product (ALo,AHi) * (BLo,BHi).
-void intervalMul(double &ALo, double &AHi, double BLo, double BHi) {
-  double P1 = ALo * BLo, P2 = ALo * BHi, P3 = AHi * BLo, P4 = AHi * BHi;
-  ALo = std::min(std::min(P1, P2), std::min(P3, P4));
-  AHi = std::max(std::max(P1, P2), std::max(P3, P4));
-}
-} // namespace
-
-std::pair<double, double>
-PolynomialRegression::boundsOver(const std::vector<double> &Lo,
-                                 const std::vector<double> &Hi) const {
-  assert(Lo.size() == Mean.size() && Hi.size() == Mean.size() &&
-         "box arity mismatch");
-  size_t NumInputs = Mean.size();
-  std::vector<double> ZLo(NumInputs), ZHi(NumInputs);
-  for (size_t F = 0; F < NumInputs; ++F) {
-    assert(Lo[F] <= Hi[F] && "inverted box");
-    // Scale is strictly positive (enforced at fit and load time), so the
-    // affine map preserves interval orientation.
-    ZLo[F] = (Lo[F] - Mean[F]) / Scale[F];
-    ZHi[F] = (Hi[F] - Mean[F]) / Scale[F];
-  }
-
-  double SumLo = 0.0, SumHi = 0.0;
-  // Total |coefficient| * |term| mass, bounding the magnitude of every
-  // partial sum the scalar evaluation can form; the rounding slack below
-  // scales with it.
-  double AbsMass = 0.0;
-  for (size_t T = 0; T < Basis.numTerms(); ++T) {
-    const std::vector<int> &Exp = Basis.exponents(T);
-    double TLo = 1.0, THi = 1.0;
-    for (size_t F = 0; F < NumInputs; ++F) {
-      if (Exp[F] == 0)
-        continue;
-      double PLo, PHi;
-      powerBounds(ZLo[F], ZHi[F], Exp[F], PLo, PHi);
-      intervalMul(TLo, THi, PLo, PHi);
-    }
-    double C = Coefficients[T];
-    SumLo += C >= 0.0 ? C * TLo : C * THi;
-    SumHi += C >= 0.0 ? C * THi : C * TLo;
-    AbsMass += std::fabs(C) * std::max(std::fabs(TLo), std::fabs(THi));
-  }
-  // The interval math above is real-valued; the scalar evaluation rounds
-  // at every operation. Its accumulated error is bounded by roughly
-  // numTerms * machine-epsilon * AbsMass (~1e-12 * AbsMass for the
-  // largest supported basis); 1e-9 * AbsMass leaves a 1000x margin.
-  double Slack = 1e-9 * AbsMass + 1e-12;
-  return {SumLo - Slack, SumHi + Slack};
-}
-
 std::vector<double>
 PolynomialRegression::predictAll(const Dataset &Data) const {
   std::vector<double> Out;

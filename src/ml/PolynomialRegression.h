@@ -20,7 +20,6 @@
 #include "support/AlignedBuffer.h"
 #include "support/Error.h"
 #include <memory>
-#include <utility>
 
 namespace opprox {
 
@@ -72,15 +71,6 @@ public:
   /// predict() on each point, for any stride and any SIMD tier.
   void predictBatchColumns(const double *Cols, size_t Stride, size_t N,
                            std::vector<double> &Out, Scratch &S) const;
-
-  /// Certified bounds on predict() over the axis-aligned box
-  /// [Lo[i], Hi[i]] of raw features: every prediction for a point in the
-  /// box lies within the returned {lower, upper} pair. Computed by
-  /// interval arithmetic over the monomial basis, widened by a slack
-  /// generously covering floating-point rounding, so the bounds are safe
-  /// to prune against exact predict() comparisons.
-  std::pair<double, double> boundsOver(const std::vector<double> &Lo,
-                                       const std::vector<double> &Hi) const;
 
   /// Predictions for every sample of \p Data.
   std::vector<double> predictAll(const Dataset &Data) const;

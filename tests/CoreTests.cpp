@@ -97,26 +97,6 @@ TEST(SamplerTest, ConfigCursorSeekIsRandomAccess) {
   EXPECT_TRUE(Cursor.done());
 }
 
-TEST(SamplerTest, ConfigCursorSkipSubtreeAdvancesDigit) {
-  // Skipping digit D from index I lands on the next multiple of D's
-  // stride -- the first config whose digits >= D differ.
-  std::vector<int> MaxLevels = {2, 2, 2}; // Strides 1, 3, 9.
-  auto All = enumerateAllConfigs(MaxLevels);
-  ConfigCursor Cursor(MaxLevels);
-  Cursor.seek(4); // {1, 1, 0}.
-  Cursor.skipSubtree(1);
-  ASSERT_FALSE(Cursor.done());
-  EXPECT_EQ(Cursor.index(), 6u); // {0, 2, 0}: digit 1 advanced, digit 0 reset.
-  EXPECT_EQ(Cursor.levels(), All[6]);
-  Cursor.skipSubtree(2);
-  ASSERT_FALSE(Cursor.done());
-  EXPECT_EQ(Cursor.index(), 9u); // Next value of the 9-stride digit.
-  // Skipping the top digit at its maximum exhausts the cursor.
-  Cursor.seek(All.size() - 1);
-  Cursor.skipSubtree(2);
-  EXPECT_TRUE(Cursor.done());
-}
-
 TEST(SamplerTest, ConfigSpaceSizeRejectsOversizedSpaces) {
   EXPECT_TRUE(static_cast<bool>(configSpaceSize({5, 5, 5, 5})));
   Expected<size_t> Huge =

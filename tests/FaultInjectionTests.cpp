@@ -305,12 +305,9 @@ TEST_F(FaultInjectionTest, NanPredictionsDegradeEveryPhaseToExact) {
     EXPECT_TRUE(bitEqual(D.PredictedSpeedup, 1.0));
     EXPECT_TRUE(bitEqual(D.PredictedQos, 0.0));
   }
-  // Phases whose entire search space is discharged by the QoS-floor
-  // pruning never invoke a prediction, so they return the exact baseline
-  // without tripping the fault -- degraded counts the rest.
-  uint64_t DegradedPhases = Degraded.value() - Before;
-  EXPECT_GE(DegradedPhases, 1u);
-  EXPECT_LE(DegradedPhases, Runtime.numPhases());
+  // The scan scores every configuration but the all-exact baseline, so
+  // every phase trips the fault and degrades.
+  EXPECT_EQ(Degraded.value() - Before, Runtime.numPhases());
 }
 
 TEST_F(FaultInjectionTest, InfPredictionsDegradeTheNaiveScanToo) {

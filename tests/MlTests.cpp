@@ -276,35 +276,6 @@ TEST(PolyRegTest, SimdTiersMatchGenericBitwise) {
   simd::setActiveTier(Best);
 }
 
-TEST(PolyRegTest, BoundsOverContainsBoxPredictions) {
-  Dataset D = makeQuadratic(80, 0.1, 9);
-  PolynomialRegression::Options O;
-  O.Degree = 3;
-  PolynomialRegression M = PolynomialRegression::fit(D, O);
-
-  Rng R(10);
-  for (int Trial = 0; Trial < 20; ++Trial) {
-    double X0 = R.uniform(-2, 2), X1 = R.uniform(-2, 2);
-    std::vector<double> Lo = {std::min(X0, X1) - R.uniform(0, 1),
-                              R.uniform(-2, 0)};
-    std::vector<double> Hi = {Lo[0] + R.uniform(0, 2),
-                              Lo[1] + R.uniform(0, 2)};
-    auto [BLo, BHi] = M.boundsOver(Lo, Hi);
-    ASSERT_LE(BLo, BHi);
-    for (int S = 0; S < 50; ++S) {
-      double P = M.predict({R.uniform(Lo[0], Hi[0]),
-                            R.uniform(Lo[1], Hi[1])});
-      EXPECT_GE(P, BLo) << "trial " << Trial;
-      EXPECT_LE(P, BHi) << "trial " << Trial;
-    }
-    // A degenerate (point) box still brackets the point prediction.
-    auto [PLo, PHi] = M.boundsOver(Lo, Lo);
-    double Point = M.predict(Lo);
-    EXPECT_GE(Point, PLo);
-    EXPECT_LE(Point, PHi);
-  }
-}
-
 /// Degree sweep: exact recovery of a 1-D polynomial of each degree.
 class PolyDegreeTest : public testing::TestWithParam<int> {};
 

@@ -121,36 +121,6 @@ TEST(SelectTest, PredictBatchMatchesPredictBitwiseAcrossSplits) {
   }
 }
 
-TEST(SelectTest, BoundsOverContainsPredictionsAcrossSplits) {
-  Rng R(12);
-  Dataset D({"x"});
-  for (int I = 0; I < 300; ++I) {
-    double X = R.uniform(0, 10);
-    double T = X < 5 ? std::sin(3 * X) : 40 + X * X;
-    D.addSample({X}, T + R.gaussian(0, 0.01));
-  }
-  ModelSelectOptions O;
-  O.MaxDegree = 2;
-  O.TargetR2 = 0.999;
-  SelectedModel M = SelectedModel::train(D, O, R);
-  ASSERT_GE(M.numSubmodels(), 2u);
-
-  // Boxes straddling the split boundary must hull every reachable
-  // submodel's range.
-  for (int Trial = 0; Trial < 20; ++Trial) {
-    double A = R.uniform(0, 10), B = R.uniform(0, 10);
-    std::vector<double> Lo = {std::min(A, B)};
-    std::vector<double> Hi = {std::max(A, B)};
-    auto [BLo, BHi] = M.boundsOver(Lo, Hi);
-    ASSERT_LE(BLo, BHi);
-    for (int S = 0; S < 50; ++S) {
-      double P = M.predict({R.uniform(Lo[0], Hi[0])});
-      EXPECT_GE(P, BLo) << "trial " << Trial;
-      EXPECT_LE(P, BHi) << "trial " << Trial;
-    }
-  }
-}
-
 TEST(SelectTest, NoSplitWhenDataScarce) {
   Rng R(9);
   Dataset D({"x"});
